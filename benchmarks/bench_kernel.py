@@ -3,7 +3,7 @@
 Measures the hot paths the exhibit harness spends its time in:
 
 - ``timeout_events_per_sec`` — pure kernel: many processes chaining
-  short timeouts (calendar-queue push/dispatch, ``Process._resume``,
+  short timeouts (event-heap push/pop, ``Process._resume``,
   callbacks).
 - ``queue_events_per_sec`` — kernel + :class:`repro.sim.resources.Queue`
   hand-off (producer/consumer pairs, the reactor-mailbox pattern).
@@ -391,9 +391,10 @@ def check_regression(metrics: dict, trajectory: dict,
     times their baseline (0 = pass).  Metrics the baseline entry does
     not carry are skipped.
     """
-    # The trajectory file is shared with other benchmarks (e.g.
-    # bench_transport): baseline = the newest entry that actually
-    # carries kernel events/sec metrics, not just entries[-1].
+    # The trajectory file also holds entries without kernel metrics
+    # (e.g. `pr5-columnar-shm-transport`): baseline = the newest entry
+    # that actually carries kernel events/sec metrics, not just
+    # entries[-1].
     baseline = None
     for entry in reversed(trajectory.get("entries", [])):
         if any(k.endswith("_events_per_sec") for k in entry["metrics"]):

@@ -37,14 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
              "serial; 0 = one per CPU).  Results are identical for any "
              "N — points fan out but merge in declared order.")
     parser.add_argument(
-        "--transport", choices=["shm", "pickle"], default=None,
-        help="worker→parent result transport with --jobs > 1: 'shm' "
-             "moves results as packed float columns through a "
-             "shared-memory ring (default where available), 'pickle' "
-             "is the classic per-result pickle over the pool pipe.  "
-             "Results are byte-identical either way; irrelevant with "
-             "--jobs 1.")
-    parser.add_argument(
         "--trace", action="store_true",
         help="run every experiment point with deterministic span "
              "tracing: appends a critical-path breakdown table to each "
@@ -222,7 +214,7 @@ def _run(args) -> int:
         # pool: slow tail-window points overlap with cheap tables.
         started = time.time()
         results = run_exhibits(names, quick=not args.full, seed=args.seed,
-                               jobs=args.jobs, transport=args.transport,
+                               jobs=args.jobs,
                                **trace_kw)
         elapsed = time.time() - started
         for name in names:
@@ -235,7 +227,7 @@ def _run(args) -> int:
     for name in names:
         started = time.time()
         result = run_exhibit(name, quick=not args.full, seed=args.seed,
-                             jobs=args.jobs, transport=args.transport,
+                             jobs=args.jobs,
                              **trace_kw)
         elapsed = time.time() - started
         print(result.text)

@@ -41,20 +41,13 @@ __all__ = ["ExhibitResult", "EXHIBITS", "run_exhibit", "run_exhibits",
 #: they join, never mutated while they run.
 _BATCH_RUNNER: Optional[Callable[[List[ExperimentConfig]], List[Any]]] = None
 
-#: Worker→parent result transport for standalone exhibit runs, set by
-#: :func:`run_exhibit` around the exhibit call (same discipline as
-#: ``_BATCH_RUNNER``: set, run, restore).  ``None`` = auto (shm where
-#: available).  Interleaved runs carry the transport inside their
-#: shared ``BatchExecutor`` instead.
-_TRANSPORT: Optional[str] = None
-
 #: When set (by :func:`run_exhibit` with ``trace=True``), every point
 #: an exhibit declares runs with span tracing forced on
 #: (``{"sample": rate, "exemplars": n, "summaries": {}, "flames": {},
 #: "phases": {}}``), and each point's trace summary, flame
 #: aggregation, and phase windows are stashed under a deterministic
 #: ``label#index (key)`` name for the breakdown/flame tables and the
-#: Chrome export.  Same set/run/restore discipline as ``_TRANSPORT``.
+#: Chrome export.  Set before the exhibit call and restored after it.
 _TRACE: Optional[Dict[str, Any]] = None
 
 #: When set (by :func:`run_exhibit` with ``obs=True``), every point
@@ -96,7 +89,7 @@ def _run_points(points: List[Tuple[Any, ExperimentConfig]],
         results = runner([config for _key, config in points])
     else:
         results = run_experiments([config for _key, config in points],
-                                  jobs=jobs, transport=_TRANSPORT)
+                                  jobs=jobs)
     pairs = [(key, result)
              for (key, _config), result in zip(points, results)]
     if trace is not None:
@@ -954,7 +947,6 @@ EXHIBITS: Dict[str, Callable[..., ExhibitResult]] = {
 
 def run_exhibit(name: str, quick: bool = True, seed: int = 42,
                 jobs: Optional[int] = 1,
-                transport: Optional[str] = None,
                 trace: bool = False, trace_sample: float = 0.01,
                 trace_exemplars: int = 3,
                 obs: bool = False,
@@ -963,9 +955,8 @@ def run_exhibit(name: str, quick: bool = True, seed: int = 42,
 
     ``jobs`` is forwarded to the parallel runner: 1 = serial (default),
     N = fan the exhibit's experiment points over N worker processes,
-    0/None = one worker per CPU.  ``transport`` picks the worker→parent
-    result path (``"shm"`` / ``"pickle"`` / ``None`` = auto).  Results
-    are identical for any combination.
+    0/None = one worker per CPU.  Results are identical for any
+    ``jobs``.
 
     ``trace=True`` runs every point with span tracing at
     ``trace_sample`` probability: the exhibit's measured numbers are
@@ -982,14 +973,12 @@ def run_exhibit(name: str, quick: bool = True, seed: int = 42,
     observation-only); per-point Prometheus snapshots land in
     ``result.data["prometheus"]``.
     """
-    global _TRANSPORT, _TRACE, _OBS
+    global _TRACE, _OBS
     if name not in EXHIBITS:
         raise KeyError(f"unknown exhibit {name!r}; choose from "
                        f"{sorted(EXHIBITS)}")
-    previous = _TRANSPORT
     previous_trace = _TRACE
     previous_obs = _OBS
-    _TRANSPORT = transport
     if trace:
         _TRACE = {"sample": trace_sample, "exemplars": trace_exemplars,
                   "summaries": {}, "flames": {}, "phases": {}}
@@ -1014,7 +1003,6 @@ def run_exhibit(name: str, quick: bool = True, seed: int = 42,
             result.data.setdefault("prometheus", _OBS["snapshots"])
         return result
     finally:
-        _TRANSPORT = previous
         _TRACE = previous_trace
         _OBS = previous_obs
 
@@ -1033,7 +1021,6 @@ _EXHIBIT_COST: Dict[str, int] = {
 
 def run_exhibits(names: Iterable[str], quick: bool = True, seed: int = 42,
                  jobs: Optional[int] = 1,
-                 transport: Optional[str] = None,
                  trace: bool = False, trace_sample: float = 0.01,
                  trace_exemplars: int = 3,
                  obs: bool = False,
@@ -1043,9 +1030,7 @@ def run_exhibits(names: Iterable[str], quick: bool = True, seed: int = 42,
 
     With ``jobs > 1`` (or 0/None = per-CPU) every exhibit runs on its
     own submitter thread and all their (exhibit, key, config) points
-    feed a single shared :class:`BatchExecutor` — which also owns the
-    result transport (``transport``: shm / pickle / None = auto), so
-    every exhibit's columns flow through one shared ring.  The 15 s
+    feed a single shared :class:`BatchExecutor`.  The 15 s
     tail-window points of fig15-17 overlap with the cheap table grids
     instead of each exhibit draining the pool in turn.  ``jobs=1``
     falls back to running the exhibits serially in-process.  Either
@@ -1064,7 +1049,7 @@ def run_exhibits(names: Iterable[str], quick: bool = True, seed: int = 42,
         # that must not interleave across submitter threads (each
         # exhibit still fans its own points over ``jobs`` workers).
         return {name: run_exhibit(name, quick=quick, seed=seed, jobs=jobs,
-                                  transport=transport, trace=trace,
+                                  trace=trace,
                                   trace_sample=trace_sample,
                                   trace_exemplars=trace_exemplars,
                                   obs=obs, obs_period=obs_period)
@@ -1079,7 +1064,7 @@ def run_exhibits(names: Iterable[str], quick: bool = True, seed: int = 42,
             errors[name] = exc
 
     heavy_first = sorted(names, key=lambda n: -_EXHIBIT_COST.get(n, 1))
-    with BatchExecutor(jobs, transport=transport) as executor:
+    with BatchExecutor(jobs) as executor:
         _BATCH_RUNNER = executor.run
         try:
             threads = [threading.Thread(target=submit, args=(name,),

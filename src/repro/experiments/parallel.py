@@ -23,28 +23,17 @@ Design notes:
   expensive corner (conc=256, long windows) starts immediately instead
   of landing on an almost-drained pool; results are re-ordered back to
   submission order before returning, so callers never see the shuffle.
-- **columnar shared-memory transport** (``transport="shm"``, the
-  default where ``multiprocessing.shared_memory`` works).  Workers
-  flatten each result into a small header plus packed float columns
-  (:mod:`repro.experiments.transport`) and memcpy the columns straight
-  into a ring segment shared with the parent; only the header and an
-  ``(offset, nbytes)`` ticket cross the result pipe.  The parent
-  rebuilds the result from the mapped buffer — the bulk data is never
-  serialised and never copied through a pipe.  A full ring degrades
-  per-result to shipping the column bytes inline; both paths decode to
-  byte-identical results.
-- **explicit pickle protocol** (``transport="pickle"``, the fallback).
-  Results cross the process boundary pre-pickled with
-  ``pickle.HIGHEST_PROTOCOL`` (out-of-band, inside the worker) instead
-  of the ``multiprocessing`` default, which is pinned to protocol
-  2-era framing; large ``ExperimentResult`` payloads (tail exhibits
-  carry thousands of latency samples) serialise measurably faster and
+- **explicit pickle protocol.**  Results cross the process boundary
+  pre-pickled with ``pickle.HIGHEST_PROTOCOL`` (inside the worker)
+  instead of the ``multiprocessing`` default, which is pinned to
+  protocol 2-era framing; large ``ExperimentResult`` payloads (tail
+  exhibits carry thousands of latency samples, stored as
+  ``array('d')`` columns that pickle as raw bytes) serialise faster and
   smaller.
 - **serial fallback.**  ``jobs=1`` (or a single config) never touches
-  multiprocessing — or any transport — at all: the configs run
-  in-process through :func:`run_experiment`, keeping tests and
-  debugging simple.  ``jobs=1`` is the identity path both transports
-  are benchmarked and tested against.
+  multiprocessing at all: the configs run in-process through
+  :func:`run_experiment`, keeping tests and debugging simple.
+  ``jobs=1`` is the identity path the pool is tested against.
 
 ``jobs=0`` (or ``None``) means "one worker per CPU".
 """
@@ -54,29 +43,18 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from .config import ExperimentConfig, ExperimentResult
 from .runner import run_experiment
-from .transport import ShmRing, decode_result, encode_result, shm_available
 
-__all__ = ["run_experiments", "resolve_jobs", "resolve_transport",
-           "BatchExecutor", "CHUNKS_PER_WORKER", "TRANSPORTS",
-           "DEFAULT_RING_BYTES"]
+__all__ = ["run_experiments", "resolve_jobs", "BatchExecutor",
+           "CHUNKS_PER_WORKER"]
 
 #: Target number of chunks handed to each worker.  More than one chunk
 #: per worker lets the pool rebalance when points have uneven cost
 #: (e.g. conc=256 vs conc=1 grid ends) at a small IPC premium.
 CHUNKS_PER_WORKER = 4
-
-#: Worker→parent result transports.
-TRANSPORTS = ("shm", "pickle")
-
-#: Default shared-memory ring capacity.  A full tail point's columns
-#: run to a few hundred kB; 32 MB keeps dozens outstanding before the
-#: inline fallback has to kick in.
-DEFAULT_RING_BYTES = 32 << 20
-
 
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalise a ``--jobs`` value: 0/None -> CPU count, else itself.
@@ -91,24 +69,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     return jobs
-
-
-def resolve_transport(transport: Optional[str]) -> str:
-    """Normalise a ``--transport`` value.
-
-    ``None`` means "shm if it works here, else pickle"; explicit
-    ``"shm"`` also degrades to pickle when ``shared_memory`` is
-    unavailable (some sandboxes mount no /dev/shm) rather than failing
-    a run that would otherwise succeed.  Anything else is rejected.
-    """
-    if transport is None:
-        return "shm" if shm_available() else "pickle"
-    if transport not in TRANSPORTS:
-        raise ValueError(f"unknown transport {transport!r}; "
-                         f"valid: {', '.join(TRANSPORTS)}")
-    if transport == "shm" and not shm_available():
-        return "pickle"
-    return transport
 
 
 def _chunksize(n_configs: int, jobs: int) -> int:
@@ -133,83 +93,26 @@ def _cost_order(configs: Sequence[ExperimentConfig]) -> List[int]:
 
 
 def _run_pickled(config: ExperimentConfig) -> bytes:
-    """Worker entry point (pickle transport): run the point and pickle
-    the result with the highest protocol *inside* the worker, so the
-    bytes cross the pipe as-is instead of through multiprocessing's
-    default pickler."""
+    """Worker entry point: run the point and pickle the result with the
+    highest protocol *inside* the worker, so the bytes cross the pipe
+    as-is instead of through multiprocessing's default pickler."""
     return pickle.dumps(run_experiment(config), pickle.HIGHEST_PROTOCOL)
 
 
-#: Worker-global ring handle, set once per worker by the pool
-#: initializer (spawn context: each worker imports this module fresh).
-_WORKER_RING: Optional[ShmRing] = None
-
-
-def _init_shm_worker(spec) -> None:
-    global _WORKER_RING
-    _WORKER_RING = ShmRing.attach(spec)
-
-
-def _run_columnar(config: ExperimentConfig) -> Tuple[bytes, Optional[Tuple[int, int]], Optional[bytes]]:
-    """Worker entry point (shm transport): run the point, flatten the
-    result, and memcpy the columns into the shared ring.  Returns
-    ``(header_bytes, ticket, inline)`` where exactly one of *ticket*
-    (ring region) and *inline* (raw column bytes, the full-ring
-    fallback) is set."""
-    header, columns = encode_result(run_experiment(config))
-    header_bytes = pickle.dumps(header, pickle.HIGHEST_PROTOCOL)
-    ring = _WORKER_RING
-    ticket = ring.write(columns) if ring is not None else None
-    if ticket is None:
-        return header_bytes, None, memoryview(columns).cast("B").tobytes()
-    return header_bytes, ticket, None
-
-
-def _run_columnar_at(task: Tuple[int, ExperimentConfig]):
-    """:func:`_run_columnar` tagged with the result's merge position,
-    so the parent can consume completions in *any* order (draining the
-    ring as fast as workers fill it) and still merge by position."""
-    position, config = task
-    return position, _run_columnar(config)
-
-
-def _decode_payload(payload, ring: Optional[ShmRing]) -> ExperimentResult:
-    """Parent side of the shm transport: rebuild one result from a
-    worker payload, returning its ring bytes afterwards."""
-    header_bytes, ticket, inline = payload
-    header = pickle.loads(header_bytes)
-    if ticket is None:
-        return decode_result(header, inline)
-    offset, nbytes = ticket
-    buf = ring.view(offset, nbytes)
-    try:
-        return decode_result(header, buf)
-    finally:
-        buf.release()
-        ring.release(nbytes)
-
-
 def run_experiments(configs: Iterable[ExperimentConfig],
-                    jobs: Optional[int] = 1,
-                    transport: Optional[str] = None,
-                    ring_bytes: int = DEFAULT_RING_BYTES,
-                    ) -> List[ExperimentResult]:
+                    jobs: Optional[int] = 1) -> List[ExperimentResult]:
     """Run every config, returning results in the order configs came in.
 
     ``jobs=1`` runs serially in-process; ``jobs>1`` fans out over a
     spawn-context pool, heaviest points first; ``jobs=0``/``None`` uses
-    one worker per CPU.  ``transport`` picks how results cross the
-    worker→parent boundary: ``"shm"`` (columnar shared memory, the
-    default where available), ``"pickle"``, or ``None`` = auto.  All
-    paths produce identical results for identical configs: each point
-    is an isolated deterministic simulation keyed only by its own
-    config (which carries the seed), parallel results are merged back
-    by submission position, and the columnar codec is an exact
-    float-for-float identity.
+    one worker per CPU.  Both paths produce identical results for
+    identical configs: each point is an isolated deterministic
+    simulation keyed only by its own config (which carries the seed),
+    parallel results are merged back by submission position, and
+    pickling is an exact round trip.
     """
     configs = list(configs)
     jobs = min(resolve_jobs(jobs), len(configs))
-    transport = resolve_transport(transport)
     if jobs <= 1:
         return [run_experiment(config) for config in configs]
     order = _cost_order(configs)
@@ -217,27 +120,10 @@ def run_experiments(configs: Iterable[ExperimentConfig],
     chunk = _chunksize(len(configs), jobs)
     ctx = multiprocessing.get_context("spawn")
     results: List[Optional[ExperimentResult]] = [None] * len(configs)
-    if transport == "pickle":
-        with ctx.Pool(processes=jobs) as pool:
-            payloads = pool.map(_run_pickled, ordered, chunksize=chunk)
-        for position, payload in zip(order, payloads):
-            results[position] = pickle.loads(payload)
-        return results
-    ring = ShmRing.create(ring_bytes, ctx)
-    try:
-        with ctx.Pool(processes=jobs, initializer=_init_shm_worker,
-                      initargs=(ring.spec(),)) as pool:
-            # imap_unordered: the parent decodes (and releases ring
-            # space) the moment any worker finishes, instead of letting
-            # completed columns pile up until the whole grid is done.
-            # Merge stays deterministic — every payload carries its
-            # submission position.
-            tasks = list(zip(order, ordered))
-            for position, payload in pool.imap_unordered(
-                    _run_columnar_at, tasks, chunksize=chunk):
-                results[position] = _decode_payload(payload, ring)
-    finally:
-        ring.destroy()
+    with ctx.Pool(processes=jobs) as pool:
+        payloads = pool.map(_run_pickled, ordered, chunksize=chunk)
+    for position, payload in zip(order, payloads):
+        results[position] = pickle.loads(payload)
     return results
 
 
@@ -255,66 +141,35 @@ class BatchExecutor:
     what :func:`run_experiments` would have returned for it.
     """
 
-    def __init__(self, jobs: Optional[int] = None,
-                 transport: Optional[str] = None,
-                 ring_bytes: int = DEFAULT_RING_BYTES) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         self.jobs = resolve_jobs(jobs)
-        self.transport = resolve_transport(transport)
-        ctx = multiprocessing.get_context("spawn")
-        self._ring: Optional[ShmRing] = None
-        if self.transport == "shm":
-            self._ring = ShmRing.create(ring_bytes, ctx)
-            try:
-                self._pool = ctx.Pool(processes=self.jobs,
-                                      initializer=_init_shm_worker,
-                                      initargs=(self._ring.spec(),))
-            except BaseException:
-                self._ring.destroy()
-                raise
-        else:
-            self._pool = ctx.Pool(processes=self.jobs)
+        self._pool = multiprocessing.get_context("spawn").Pool(
+            processes=self.jobs)
 
     def run(self, configs: Iterable[ExperimentConfig]) -> List[ExperimentResult]:
         """Run one batch; results in the batch's submission order.
 
         The batch's points enter the shared queue heaviest-first (see
-        :func:`_config_cost`) and come back through the executor's
-        transport (columnar shm tickets, or highest-protocol pickles);
-        the positional gather restores submission order — and, on the
-        shm path, releases each ticket's ring bytes as it decodes, so
-        concurrent batches share the ring fairly.
+        :func:`_config_cost`) and come back as highest-protocol
+        pickles; the positional gather restores submission order.
         """
         configs = list(configs)
-        task = _run_columnar if self._ring is not None else _run_pickled
         handles = {
-            position: self._pool.apply_async(task, (configs[position],))
+            position: self._pool.apply_async(_run_pickled,
+                                             (configs[position],))
             for position in _cost_order(configs)
         }
-        if self._ring is not None:
-            return [_decode_payload(handles[position].get(), self._ring)
-                    for position in range(len(configs))]
         return [pickle.loads(handles[position].get())
                 for position in range(len(configs))]
 
     def close(self) -> None:
-        try:
-            self._pool.close()
-            self._pool.join()
-        finally:
-            if self._ring is not None:
-                self._ring.destroy()
+        self._pool.close()
+        self._pool.join()
 
     def terminate(self) -> None:
-        """Kill the workers without draining the queue (error path).
-        The ring segment goes down with them — outstanding tickets are
-        moot once the batch failed, and ``ShmRing.destroy`` unlinks the
-        segment so nothing leaks into /dev/shm."""
-        try:
-            self._pool.terminate()
-            self._pool.join()
-        finally:
-            if self._ring is not None:
-                self._ring.destroy()
+        """Kill the workers without draining the queue (error path)."""
+        self._pool.terminate()
+        self._pool.join()
 
     def __enter__(self) -> "BatchExecutor":
         return self

@@ -11,6 +11,7 @@ example, and test that wants a complete simulated run.  The flow:
 
 from __future__ import annotations
 
+import gc
 from array import array
 from typing import Dict, List, Optional
 
@@ -126,6 +127,9 @@ def _thread_sampler(sim: Simulator, cpu, metrics: Metrics, period: float):
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one configured experiment and return its measurements."""
+    # A finished run is one large reference cycle; free the last one now
+    # so back-to-back points do not stack dead simulations in memory.
+    gc.collect()
     sim = Simulator()
     metrics = Metrics(latency_sketch=config.latency_sketch)
     params = build_params(config)

@@ -3,8 +3,7 @@
 A :class:`TelemetryTicker` fires every ``period`` simulated seconds
 (via :meth:`Simulator.call_every`) and samples live gauges into one
 :class:`~repro.sim.metrics.GaugeBoard` — a shared time column plus one
-``array('d')`` value column per gauge, ready for the columnar result
-transport.
+``array('d')`` value column per gauge, copied onto the result.
 
 Determinism contract (the same one :mod:`repro.trace` keeps):
 
@@ -13,8 +12,7 @@ Determinism contract (the same one :mod:`repro.trace` keeps):
   so measured results are float-identical with the ticker on or off
   (asserted by the observability integration tests);
 - tick times and every sampled value are pure functions of the seed,
-  so the series are identical across ``--jobs 1`` / ``--jobs N`` and
-  shm / pickle transports.
+  so the series are identical across ``--jobs 1`` / ``--jobs N``.
 
 Gauge vocabulary (columns appear in this order):
 

@@ -113,8 +113,9 @@ class LatencyRecorder:
 
     **Exact mode** (the default) stores every sample in two flat
     ``array('d')`` columns (times, values) — samples are columnar at
-    collection time, so the result transport can ship them as packed
-    float buffers without a per-sample conversion pass.  Simulation
+    collection time, so a result carries them as packed float buffers
+    (an ``array('d')`` pickles as raw bytes) without a per-sample
+    conversion pass.  Simulation
     time is monotone, so the window cut is a ``bisect`` over the time
     column (a linear-scan fallback covers hand-built recorders that
     append out of order).  Queries share one sorted copy of the
@@ -228,7 +229,7 @@ class LatencyRecorder:
 
     def window_columns(self) -> Tuple[array, array]:
         """The windowed samples as flat ``array('d')`` (times, values)
-        columns in arrival order — the transport-ready view.  Sketch
+        columns in arrival order — the view a result carries.  Sketch
         mode stores no samples and returns empty columns."""
         if self._sketch:
             return array("d"), array("d")
@@ -325,7 +326,7 @@ class TimeSeries:
 
     Backed by two flat ``array('d')`` columns so a window is a pair of
     ``bisect`` cuts plus buffer slices — :meth:`columns` hands the raw
-    slices to the result transport with no per-sample conversion.
+    slices to the result with no per-sample conversion.
     """
 
     __slots__ = ("_times", "_values")
@@ -376,7 +377,7 @@ class GaugeBoard:
     column, the telemetry ticker samples tens of gauges at every tick —
     a shared time column plus one ``array('d')`` value column per gauge
     keeps that O(gauges) floats per tick with no per-sample boxing, and
-    the columns ride the shared-memory result transport as-is.
+    the columns ride on the result as-is.
     """
 
     __slots__ = ("names", "_times", "_columns")

@@ -31,12 +31,10 @@ Fold rules (see DESIGN.md "Observability"):
 
 Everything is a pure function of the seed: the fold visits traces in
 finish order and spans in record order, both deterministic, so the
-float sums are bit-identical across ``--jobs`` and transport settings.
+float sums are bit-identical across ``--jobs`` settings.
 
 Exporters: :func:`collapsed_stacks` (flamegraph.pl collapsed-stack
-text), :func:`speedscope_doc` (speedscope JSON), and the
-:func:`flame_columns` / :func:`flame_from_columns` codec that rides
-the shared-memory result transport.
+text) and :func:`speedscope_doc` (speedscope JSON).
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from .spans import (KIND_NAMES, K_FAILED, K_HEDGE, K_RETRY, K_ROOT, Trace)
 
 __all__ = ["FlameAccumulator", "FRAME_NAMES", "F_SUBQUERY", "build_flame",
            "merge_flames", "collapsed_stacks", "speedscope_doc",
-           "flame_columns", "flame_from_columns", "write_flame"]
+           "write_flame"]
 
 #: Flame frame vocabulary: every span kind plus the structural
 #: ``subquery`` grouping frame.  Paths store indices into this tuple.
@@ -62,10 +60,6 @@ F_SUBQUERY = len(KIND_NAMES)
 #: :data:`repro.faults.HEDGE_ATTEMPT`; re-declared to keep the trace
 #: package free of a faults import).
 _HEDGE_ATTEMPT = -1
-
-#: Floats per path row in the columnar transport form.
-_PATH_WIDTH = 3  # count, self, total
-
 
 class FlameAccumulator:
     """Streaming fold of sampled span trees into call-path nodes.
@@ -175,55 +169,6 @@ def merge_flames(flames: Dict[str, Optional[Dict[str, Any]]]
     map, preserving order."""
     return {label: flame for label, flame in flames.items()
             if flame is not None}
-
-
-# ---------------------------------------------------------------------------
-# Columnar transport form
-# ---------------------------------------------------------------------------
-
-def flame_columns(flame: Dict[str, Any]
-                  ) -> Tuple[Dict[str, Any], List[float]]:
-    """Split a flame summary into ``(structure, floats)`` for the
-    shared-memory result transport (same contract as
-    :func:`repro.trace.export.summary_columns`)."""
-    structure = {
-        "frames": list(flame["frames"]),
-        "tables": [
-            (klass, [(phase, [list(path) for path in entry["paths"]])
-                     for phase, entry in phases.items()])
-            for klass, phases in flame["tables"].items()
-        ],
-    }
-    floats: List[float] = []
-    for _klass, phases in flame["tables"].items():
-        for _phase, entry in phases.items():
-            for count, self_w, total_w in zip(entry["count"], entry["self"],
-                                              entry["total"]):
-                floats.append(count)
-                floats.append(self_w)
-                floats.append(total_w)
-    return structure, floats
-
-
-def flame_from_columns(structure: Dict[str, Any],
-                       floats: List[float]) -> Dict[str, Any]:
-    """Exact inverse of :func:`flame_columns`."""
-    tables: Dict[str, Dict[str, Any]] = {}
-    pos = 0
-    for klass, phases in structure["tables"]:
-        tables[klass] = {}
-        for phase, paths in phases:
-            counts, selves, totals = [], [], []
-            for _ in paths:
-                counts.append(floats[pos])
-                selves.append(floats[pos + 1])
-                totals.append(floats[pos + 2])
-                pos += _PATH_WIDTH
-            tables[klass][phase] = {
-                "paths": [list(path) for path in paths],
-                "count": counts, "self": selves, "total": totals,
-            }
-    return {"frames": list(structure["frames"]), "tables": tables}
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Tests for experiment configs and the runner."""
 
+import dataclasses
+import gc
 import math
+from array import array
 
 import pytest
 
 from repro.experiments.config import (DATASTORE_KINDS, SERVER_KINDS,
                                       ExperimentConfig)
 from repro.experiments.runner import PERCENTILES, build_params, run_experiment
+from repro.sim.kernel import Simulator
 
 
 class TestExperimentConfig:
@@ -60,6 +64,18 @@ class TestRunExperiment:
         assert not math.isnan(result.percentiles[99.0])
         assert result.completed == pytest.approx(
             result.throughput * result.window)
+
+    def test_back_to_back_runs_leave_one_simulator(self):
+        """A finished run is one cyclic object graph; each run frees
+        the previous one up front, so dead simulations never pile up
+        between points."""
+        config = ExperimentConfig(concurrency=8, warmup=0.1, duration=0.3)
+        gc.collect()
+        run_experiment(config)
+        run_experiment(config)
+        alive = [obj for obj in gc.get_objects()
+                 if isinstance(obj, Simulator)]
+        assert len(alive) <= 1
 
     def test_deterministic_across_runs(self):
         config = ExperimentConfig(concurrency=8, warmup=0.1, duration=0.3,
@@ -139,3 +155,19 @@ class TestRunExperiment:
         for q in (50.0, 90.0, 99.0):
             assert sketch.percentiles[q] == pytest.approx(
                 exact.percentiles[q], rel=0.1)
+
+
+class TestExperimentResult:
+    def test_row_view_properties(self):
+        """The (time, value) tuple views sit on top of the columnar
+        storage, so report/figures code consumes them unchanged."""
+        base = run_experiment(ExperimentConfig(concurrency=4, warmup=0.1,
+                                               duration=0.2))
+        result = dataclasses.replace(
+            base, thread_times=array("d", (0.0, 0.5)),
+            thread_values=array("d", (0.0, 1.0)),
+            latency_times=array("d", (0.1, 0.2, 0.3)),
+            latency_values=array("d", (0.001, 0.002, 0.003)))
+        assert result.thread_samples == [(0.0, 0.0), (0.5, 1.0)]
+        assert result.latency_samples == \
+            list(zip(result.latency_times, result.latency_values))

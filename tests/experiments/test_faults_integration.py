@@ -137,14 +137,13 @@ def _attribution_grid(seed=11):
 
 
 class TestAttributionDeterminism:
-    def test_attribution_grid_shm_parallel_equals_serial(self):
+    def test_attribution_grid_parallel_equals_serial(self):
         """The attribution digest is plain float arithmetic on the
         winning attempts' wire stamps — no RNG, no wall clock — so
-        jobs=1 and jobs=4 over the shm columnar transport stay
-        float-identical, learned per-shard delays included."""
+        jobs=1 and jobs=4 stay float-identical, learned per-shard
+        delays included."""
         serial = run_experiments(_attribution_grid(), jobs=1)
-        parallel = run_experiments(_attribution_grid(), jobs=4,
-                                   transport="shm")
+        parallel = run_experiments(_attribution_grid(), jobs=4)
         for ours, theirs in zip(serial, parallel):
             assert dataclasses.asdict(ours) == dataclasses.asdict(theirs)
 
@@ -159,7 +158,7 @@ class TestAttributionDeterminism:
     def test_adaptive_hedge_exhibit_parallel_equals_serial(self):
         serial = run_exhibit("adaptive_hedge", quick=True, seed=42, jobs=1)
         parallel = run_exhibit("adaptive_hedge", quick=True, seed=42,
-                               jobs=4, transport="shm")
+                               jobs=4)
         assert serial.text == parallel.text
         assert serial.data == parallel.data
 

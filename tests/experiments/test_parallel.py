@@ -7,13 +7,18 @@ rows are assembled positionally from the result list.
 """
 
 import dataclasses
+import json
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.figures import run_exhibit
 from repro.experiments.parallel import (BatchExecutor, _chunksize,
                                         resolve_jobs, run_experiments)
+
+GOLDEN = Path(__file__).parent / "golden_tab2_quick_seed42.json"
 
 
 def _tiny_grid(seed=7):
@@ -76,6 +81,21 @@ class TestParallelDeterminism:
             # Exact float equality, not approx: both sides replay the
             # same deterministic simulation.
             assert dataclasses.asdict(ours) == dataclasses.asdict(theirs)
+
+    def test_batch_executor_matches_serial(self):
+        serial = run_experiments(_tiny_grid()[:2], jobs=1)
+        with BatchExecutor(jobs=2) as executor:
+            batch = executor.run(_tiny_grid()[:2])
+        for ours, theirs in zip(serial, batch):
+            assert dataclasses.asdict(ours) == dataclasses.asdict(theirs)
+
+    def test_tab2_byte_identical_over_workers(self):
+        """A pooled exhibit renders byte-identical output to the pinned
+        serial golden."""
+        golden = json.loads(GOLDEN.read_text())
+        result = run_exhibit("tab2", quick=True, seed=42, jobs=2)
+        assert result.text == golden["text"]
+        assert result.data == golden["data"]
 
     def test_different_seeds_differ(self):
         # Sanity check that the equality above is not vacuous.

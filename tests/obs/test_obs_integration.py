@@ -3,18 +3,14 @@
 - an observed run (tracing + flame + telemetry) reports measured
   results **float-identical** to the same run unobserved;
 - the flame aggregation, gauge series, and phase windows are pure
-  functions of the seed: identical across ``jobs=1`` / ``jobs=4`` and
-  across the shm / pickle transports.
+  functions of the seed: identical across ``jobs=1`` / ``jobs=4``.
 """
 
 from dataclasses import replace
 
-import pytest
-
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import run_experiments
 from repro.experiments.runner import run_experiment
-from repro.experiments.transport import shm_available
 from repro.faults import FaultConfig, ResilienceConfig
 
 
@@ -87,16 +83,6 @@ class TestSeedDeterminism:
         for a, b in zip(serial, fanned):
             assert _measured(a) == _measured(b)
             assert _observed_outputs(a) == _observed_outputs(b)
-
-    @pytest.mark.skipif(not shm_available(),
-                        reason="shared memory unavailable")
-    def test_shm_vs_pickle_identical(self):
-        shm = run_experiments([_observed(_faulted())], jobs=2,
-                              transport="shm")
-        pickled = run_experiments([_observed(_faulted())], jobs=2,
-                                  transport="pickle")
-        assert _measured(shm[0]) == _measured(pickled[0])
-        assert _observed_outputs(shm[0]) == _observed_outputs(pickled[0])
 
     def test_same_seed_same_observations(self):
         a = run_experiment(_observed(_faulted()))

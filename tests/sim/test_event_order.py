@@ -1,19 +1,11 @@
-"""Randomized equivalence tests for the calendar-queue scheduler.
+"""Randomized equivalence tests for the kernel's event queue.
 
-The kernel's calendar queue (active list + bucket ring + far-heap
-fallback + lazy cancellation) must dispatch in exactly the same
-``(time, seq)`` total order as a plain binary heap.  These tests drive
-~10k mixed schedule/cancel operations through the real
-:class:`Simulator` and through a minimal reference heap model, and
+The kernel must dispatch in exactly the ``(time, seq)`` total order of
+a plain binary heap, with lazy cancellation (a cancelled
+:class:`Timeout` is skipped without counting and never advances the
+clock).  These tests drive mixed schedule/cancel operations through the
+real :class:`Simulator` and through a minimal reference heap model, and
 assert identical dispatch order, dispatch times, and event counts.
-
-The ``bucket_width`` parametrization forces every placement path:
-
-- a tiny width sends nearly everything through the far-heap fallback
-  (every delay is beyond one ring revolution),
-- the default width exercises the bucket ring plus far overflow,
-- a huge width keeps everything in the insort-active path (every delay
-  maps to virtual bucket 0).
 """
 
 import heapq
@@ -23,15 +15,16 @@ import pytest
 
 from repro.sim.kernel import CountdownLatch, SimulationError, Simulator
 
-#: Widths covering the far-heap fallback, the bucket ring, and the
-#: all-active paths (see module docstring).
-WIDTHS = (1e-9, 1e-4, 1e6)
+#: Multipliers applied to every delay and run bound, so dispatch order
+#: and clock arithmetic are checked at nanosecond, sub-millisecond and
+#: mega-second magnitudes.
+SCALES = (1e-9, 1e-4, 1e6)
 
 
 class ReferenceHeap:
-    """The pre-calendar scheduler: one binary heap of (t, seq) entries,
-    with the same lazy-cancellation contract (cancelled entries are
-    skipped without counting)."""
+    """One binary heap of (t, seq) entries with the kernel's
+    lazy-cancellation contract (cancelled entries are skipped without
+    counting)."""
 
     def __init__(self):
         self.heap = []
@@ -59,11 +52,11 @@ class ReferenceHeap:
             trace.append((t, token))
 
 
-def _run_mixed_schedule(width, seed, ops):
+def _run_mixed_schedule(scale, seed, ops):
     """Drive an identical randomized op sequence through both kernels
     and return (sim_trace, ref_trace, sim, ref)."""
     rng = random.Random(seed)
-    sim = Simulator(bucket_width=width)
+    sim = Simulator()
     ref = ReferenceHeap()
     sim_trace, ref_trace = [], []
 
@@ -71,9 +64,8 @@ def _run_mixed_schedule(width, seed, ops):
         sim_trace.append((sim.now, event._value))
 
     timeouts = []  # (sim timeout, ref entry) still cancellable
-    # Mixed delay bands: same-instant bursts, sub-bucket, multi-bucket,
-    # and far-future entries, so every container sees traffic under
-    # every width.
+    # Mixed delay bands: same-instant bursts, microsecond service
+    # delays, millisecond hops, and second-scale think timers.
     bands = ((0.0, 0.0), (0.0, 5e-5), (0.0, 1e-2), (0.5, 2.0), (50.0, 90.0))
     for token in range(ops):
         action = rng.random()
@@ -83,7 +75,7 @@ def _run_mixed_schedule(width, seed, ops):
             ref.cancel(entry)
             continue
         low, high = bands[rng.randrange(len(bands))]
-        delay = rng.uniform(low, high)
+        delay = rng.uniform(low, high) * scale
         timeout = sim.timeout(delay, value=token)
         timeout.add_callback(observe)
         entry = ref.schedule(delay, token)
@@ -94,22 +86,22 @@ def _run_mixed_schedule(width, seed, ops):
     return sim_trace, ref_trace, sim, ref
 
 
-@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize("seed", [1, 7, 2026])
-def test_mixed_schedule_cancel_matches_reference_heap(width, seed):
-    sim_trace, ref_trace, sim, ref = _run_mixed_schedule(width, seed, 3500)
+def test_mixed_schedule_cancel_matches_reference_heap(scale, seed):
+    sim_trace, ref_trace, sim, ref = _run_mixed_schedule(scale, seed, 3500)
     assert sim_trace == ref_trace
     assert sim._event_count == ref.count
     assert sim.now == ref.now
 
 
-@pytest.mark.parametrize("width", WIDTHS)
-def test_interleaved_run_and_schedule_matches_reference(width):
+@pytest.mark.parametrize("scale", SCALES)
+def test_interleaved_run_and_schedule_matches_reference(scale):
     """Schedule in phases with run(until=...) between them, so fresh
-    entries land behind the consumed horizon (the insort-active path)
-    as well as ahead of it."""
+    entries land both at the current instant and ahead of the run
+    bound."""
     rng = random.Random(99)
-    sim = Simulator(bucket_width=width)
+    sim = Simulator()
     ref = ReferenceHeap()
     sim_trace, ref_trace = [], []
 
@@ -120,11 +112,11 @@ def test_interleaved_run_and_schedule_matches_reference(width):
     for phase in range(8):
         for _ in range(300):
             delay = rng.choice((0.0, rng.uniform(0, 1e-3),
-                                rng.uniform(0, 3.0)))
+                                rng.uniform(0, 3.0))) * scale
             sim.timeout(delay, value=token).add_callback(observe)
             ref.schedule(delay, token)
             token += 1
-        bound = sim.now + rng.uniform(0.1, 1.0)
+        bound = sim.now + rng.uniform(0.1, 1.0) * scale
         sim.run(until=bound)
         while ref.heap and ref.heap[0][0] <= bound:
             t, _seq, tok, live = heapq.heappop(ref.heap)
@@ -138,25 +130,6 @@ def test_interleaved_run_and_schedule_matches_reference(width):
     ref.drain(ref_trace)
     assert sim_trace == ref_trace
     assert sim._event_count == ref.count
-
-
-@pytest.mark.parametrize("width", WIDTHS)
-def test_resize_preserves_order_under_load(width):
-    """Push enough entries to force grow and shrink resizes; order and
-    counts must survive every re-placement."""
-    sim = Simulator(bucket_width=width)
-    fired = []
-    total = 6000
-    for i in range(total):
-        # Spread over ~0.6 s, with ties every 10th entry.
-        delay = (i // 10) * 1e-3
-        sim.timeout(delay, value=i).add_callback(
-            lambda e: fired.append((sim.now, e._value)))
-    sim.run()
-    assert fired == sorted(fired)
-    assert [v for _t, v in fired] == sorted(
-        range(total), key=lambda i: ((i // 10) * 1e-3, i))
-    assert sim._event_count == total
 
 
 def test_cancelled_head_does_not_advance_clock():

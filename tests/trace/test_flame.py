@@ -1,15 +1,13 @@
 """Unit tests for the cross-request flame aggregation
-(:mod:`repro.trace.flame`): fold rules, prefix-rollup totals, the
-columnar transport codec, and both exporters against the schema
-validators."""
+(:mod:`repro.trace.flame`): fold rules, prefix-rollup totals, and
+both exporters against the schema validators."""
 
 import random
 
 from repro.trace import (FRAME_NAMES, F_SUBQUERY, FlameAccumulator,
                          K_HEDGE, K_NET_REQUEST, K_PARSE, K_RETRY,
                          K_ROOT, K_SERVICE, KIND_NAMES, Tracer,
-                         build_flame, collapsed_stacks, flame_columns,
-                         flame_from_columns, merge_flames,
+                         build_flame, collapsed_stacks, merge_flames,
                          speedscope_doc, write_flame)
 from repro.trace.schema import (check_collapsed, check_path,
                                 check_speedscope)
@@ -140,33 +138,6 @@ class TestBuildFlame:
         assert flame["frames"] == list(KIND_NAMES) + ["subquery"]
         assert flame["frames"][F_SUBQUERY] == "subquery"
         assert tuple(flame["frames"]) == FRAME_NAMES
-
-
-class TestColumns:
-    def _flame(self):
-        acc = FlameAccumulator()
-        tracer = Tracer(random.Random(3), sample_rate=1.0)
-        for i in range(5):
-            trace = tracer.begin("Lfan" if i % 2 else "Sfan", now=0.0)
-            trace.add(K_PARSE, 0.0, 0.001 * (i + 1))
-            trace.add(K_SERVICE, 0.0, 0.002 * (i + 1), seq=0, attempt=0)
-            trace.add(K_NET_REQUEST, 0.0, 0.003, seq=1, attempt=-1)
-            acc.fold(trace, "measure" if i < 3 else "measure+slow")
-        return build_flame(acc)
-
-    def test_roundtrip_is_exact_identity(self):
-        flame = self._flame()
-        structure, floats = flame_columns(flame)
-        assert flame_from_columns(structure, floats) == flame
-
-    def test_structure_carries_no_floats(self):
-        flame = self._flame()
-        structure, floats = flame_columns(flame)
-        n_paths = sum(len(entry["paths"])
-                      for phases in flame["tables"].values()
-                      for entry in phases.values())
-        assert len(floats) == 3 * n_paths
-        assert "count" not in str(structure)
 
 
 class TestExporters:

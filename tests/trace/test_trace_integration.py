@@ -8,8 +8,8 @@ Four load-bearing properties:
    behaviour.  (Tracing *off* is pinned even harder — byte-identical —
    by the pre-existing golden-tab2 test, since ``trace`` defaults off.)
 2. **Determinism across workers.**  ``trace_summary`` is a pure
-   function of the config seed: ``jobs=1`` equals ``jobs=4`` over the
-   shared-memory columnar transport, float for float.
+   function of the config seed: ``jobs=1`` equals ``jobs=4``, float
+   for float.
 3. **Exact additivity on real traces.**  Every exemplar from a real
    multi-architecture run re-subtracts to exactly ``0.0``.
 4. **Tail attribution.**  Under an injected slow shard, the slowest
@@ -74,18 +74,11 @@ class TestWorkerDeterminism:
                         trace_exemplars=2)
                 for server in ("doubleface", "netty", "aio")]
 
-    def test_jobs4_shm_equals_serial(self):
+    def test_jobs4_pickle_equals_serial(self):
         serial = run_experiments(self._grid(), jobs=1)
-        parallel = run_experiments(self._grid(), jobs=4, transport="shm")
+        parallel = run_experiments(self._grid(), jobs=4)
         for ours, theirs in zip(serial, parallel):
             assert dataclasses.asdict(ours) == dataclasses.asdict(theirs)
-
-    def test_jobs4_pickle_equals_serial(self):
-        serial = run_experiments(self._grid()[:1], jobs=1)
-        parallel = run_experiments(self._grid()[:1], jobs=4,
-                                   transport="pickle")
-        assert dataclasses.asdict(serial[0]) == \
-            dataclasses.asdict(parallel[0])
 
 
 class TestRealTraceAdditivity:
